@@ -237,3 +237,97 @@ func TestParasiticLossGrowsWithFrequencySquared(t *testing.T) {
 		t.Errorf("parasitic loss ratio = %v, want 4 (f²)", ph/pl)
 	}
 }
+
+// bisectAmplitude is the 80-step bisection SolveAmplitude used before the
+// Newton solve, kept as the reference the faster solver must reproduce.
+func bisectAmplitude(r Doubler, pacc, vout float64) float64 {
+	if pacc <= 0 {
+		return 0
+	}
+	lo, hi := 0.0, 0.01
+	for r.RFPower(hi, vout) < pacc {
+		hi *= 2
+		if hi > 100 {
+			break
+		}
+	}
+	for i := 0; i < 80; i++ {
+		mid := (lo + hi) / 2
+		if r.RFPower(mid, vout) < pacc {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// ulpDiff returns how many representable float64 values lie between a
+// and b (both non-negative).
+func ulpDiff(a, b float64) uint64 {
+	ua, ub := math.Float64bits(a), math.Float64bits(b)
+	if ua > ub {
+		return ua - ub
+	}
+	return ub - ua
+}
+
+func TestSolveAmplitudeMatchesBisectionOracle(t *testing.T) {
+	r := testDoubler()
+	var worst uint64
+	for lp := -12.0; lp <= -1; lp += 0.05 {
+		pacc := math.Pow(10, lp)
+		for vout := 0.0; vout <= 2; vout += 0.025 {
+			got, want := r.SolveAmplitude(pacc, vout), bisectAmplitude(r, pacc, vout)
+			d := ulpDiff(got, want)
+			if d > 8 {
+				t.Fatalf("SolveAmplitude(%g, %g) = %v, oracle %v: %d ulp apart", pacc, vout, got, want, d)
+			}
+			worst = max(worst, d)
+		}
+	}
+	t.Logf("worst disagreement with the bisection oracle: %d ulp", worst)
+}
+
+func TestSolveAmplitudeEdges(t *testing.T) {
+	r := testDoubler()
+	for _, p := range []float64{0, -1e-3, math.Inf(-1)} {
+		if got := r.SolveAmplitude(p, 0.3); got != 0 {
+			t.Errorf("SolveAmplitude(%v, 0.3) = %v, want 0", p, got)
+		}
+	}
+	// A negative output voltage is treated as zero bias.
+	for _, p := range []float64{1e-9, 1e-5, 1e-2} {
+		if got, want := r.SolveAmplitude(p, -0.5), r.SolveAmplitude(p, 0); got != want {
+			t.Errorf("SolveAmplitude(%v, -0.5) = %v, want %v (as at vout = 0)", p, got, want)
+		}
+	}
+	// A drive the solver's largest amplitude cannot absorb clamps there,
+	// as the bisection oracle's bracket does: with the output far above
+	// any drive, only the parasitic loss absorbs power (≈2.4 W at the
+	// clamp).
+	for _, p := range []float64{10, math.Inf(1)} {
+		got, want := r.SolveAmplitude(p, 1e4), bisectAmplitude(r, p, 1e4)
+		if got != maxAmplitude || ulpDiff(got, want) > 8 {
+			t.Errorf("SolveAmplitude(%v, 1e4) = %v, want the %v clamp (oracle %v)", p, got, maxAmplitude, want)
+		}
+	}
+}
+
+// TestSolverAllocs pins the rectifier solves to zero allocations: they
+// run thousands of times per surface build and per exact-tier bin.
+func TestSolverAllocs(t *testing.T) {
+	r := testDoubler()
+	leak := func(float64) float64 { return 11e-6 }
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() { sink += r.SolveAmplitude(1e-5, 0.3) }); n != 0 {
+		t.Errorf("SolveAmplitude allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		v, i := r.OperatingPoint(1e-5, leak)
+		sink += v + i
+	}); n != 0 {
+		t.Errorf("OperatingPoint allocates %v times per call", n)
+	}
+	_ = sink
+}

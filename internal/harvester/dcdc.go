@@ -121,8 +121,8 @@ func NewBQ25570() *BQ25570 {
 // reference: below MinOperatingV nothing flows; between MinOperatingV and
 // the reference the draw ramps up; above the reference the steep slope
 // pins the node, capped at the converter's switch-current limit. The
-// function is non-decreasing in v, which the rectifier's operating-point
-// bisection relies on.
+// function is non-decreasing in v, which the rectifier's bracketed
+// operating-point solve relies on.
 func (b *BQ25570) InputCurrent(v float64) float64 {
 	if v < b.MinOperatingV {
 		return 0

@@ -146,7 +146,7 @@ func TestGridMonotoneAndNoOvershoot(t *testing.T) {
 			}
 		}
 		// Voltage node values are non-decreasing: more accepted power
-		// never lowers the rectifier output (allowing bisection noise).
+		// never lowers the rectifier output (allowing solver rounding).
 		for i := 1; i < len(g.xs); i++ {
 			if g.ys[curveV][i] < g.ys[curveV][i-1]-1e-9 {
 				t.Errorf("%s: v grid not monotone at node %d: %g then %g",

@@ -1,7 +1,7 @@
 // Package surface is the error-bounded operating-point surface for the
 // fleet hot path: a deterministic interpolation layer that caches the
 // harvester's rectifier operating-point solve (a cycle-averaged Shockley
-// solve via log-domain Bessel functions, nested inside bisections) on an
+// solve via log-domain Bessel functions, nested inside root finds) on an
 // adaptively refined monotone grid, so the per-bin cost of
 // core.TempSensorDevice.Evaluate drops from a millisecond-scale numeric
 // solve to a bounded table lookup.

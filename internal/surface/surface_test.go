@@ -138,6 +138,30 @@ func TestIdleAndDegenerateDrives(t *testing.T) {
 	}
 }
 
+// TestDefaultGridsPinned pins the node placement of the two default
+// surfaces. Refinement decisions compare exact-solver values at interval
+// midpoints against the ε budget, so a change to the rectifier solver can
+// move nodes even when every output stays within ε. If this test fails
+// after a solver change, the result is a different surface: it needs its
+// own review against the property suite and the goldens, not a new pin.
+func TestDefaultGridsPinned(t *testing.T) {
+	cases := []struct {
+		name                      string
+		mk                        func() *harvester.Harvester
+		opNodes, bootNodes, evals int
+	}{
+		{"battery-free", harvester.NewBatteryFree, 688, 554, 2482},
+		{"battery-charging", harvester.NewBatteryCharging, 857, 0, 1713},
+	}
+	for _, c := range cases {
+		st := For(c.mk()).Stats()
+		if st.OpNodes != c.opNodes || st.BootNodes != c.bootNodes || st.ExactEvals != c.evals {
+			t.Errorf("%s: OpNodes/BootNodes/ExactEvals = %d/%d/%d, want %d/%d/%d",
+				c.name, st.OpNodes, st.BootNodes, st.ExactEvals, c.opNodes, c.bootNodes, c.evals)
+		}
+	}
+}
+
 // TestStatsCertified: the default build must certify every interval —
 // at most a handful of width-floored kink intervals may exceed the
 // per-curve midpoint tolerance, and even those by a small factor

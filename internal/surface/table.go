@@ -16,7 +16,7 @@ type curveSpec struct {
 	// relTol is the relative midpoint tolerance.
 	relTol float64
 	// absTol is the absolute error below which the curve's digits stop
-	// mattering physically (bisection noise near zeros, sub-picoamp
+	// mattering physically (solver rounding near zeros, sub-picoamp
 	// currents): without it, values crossing zero would demand infinite
 	// resolution. Setting relTol to zero makes the criterion purely
 	// absolute, which is how ln Rp — itself already a relative measure of
