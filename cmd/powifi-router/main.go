@@ -67,7 +67,7 @@ func main() {
 	cfg.Scheme = scheme
 	cfg.InterPacketDelay = *delay
 	cfg.QueueDepthThreshold = *qdepth
-	rt := router.New(cfg, sched, channels, 100, *seed)
+	rt := router.New(cfg, channels, 100, *seed)
 
 	monitors := make(map[phy.Channel]*monitor.Monitor, 3)
 	for _, chNum := range phy.PoWiFiChannels {

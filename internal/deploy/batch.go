@@ -99,7 +99,7 @@ func (smp *Sampler) RunBatch(cfg HomeConfig, opts Options, b *BinBatch, each fun
 		b.Simulated[bin] = true
 		smp.tele.Bin()
 		if smp.tr != nil {
-			smp.tr.BinSimulated(bin, smp.sched.Scheduled())
+			smp.tr.BinSimulated(bin, smp.scheduled())
 		}
 	}
 	smp.evaluateBatch(opts, b)

@@ -104,7 +104,7 @@ func (smp *Sampler) RunBatchCoarse(cfg HomeConfig, opts Options, copts CoarseOpt
 		b.Simulated[bin] = true
 		smp.tele.Bin()
 		if smp.tr != nil {
-			smp.tr.BinSimulated(bin, smp.sched.Scheduled())
+			smp.tr.BinSimulated(bin, smp.scheduled())
 		}
 		return true
 	}

@@ -24,11 +24,20 @@ import (
 // per channel in the sampler).
 const maxBgStations = 4
 
-// Sampler is a pooled single-home simulation context: the scheduler,
-// channel media, PoWiFi router, monitors, neighbor-load generators and
-// sensor device are built once and Reset between logging bins, so the
-// per-bin packet-level sample pays no allocator or GC tax in steady
-// state.
+// Sampler is a pooled single-home simulation context: the per-channel
+// schedulers, channel media, PoWiFi router, monitors, neighbor-load
+// generators and sensor device are built once and Reset between logging
+// bins, so the per-bin packet-level sample pays no allocator or GC tax
+// in steady state.
+//
+// Each of the three channels runs on its own event kernel. Inside the
+// sampler the channels share no mutable state — each has its own
+// medium, router radio and injector, contenders and monitor, and the
+// client feed rides channel 1 only — so one shared queue would only
+// interleave events that never interact. Three short queues pop faster
+// than one long one, and each channel keeps its own (time, sequence)
+// order, so the split changes no result (the shared-scheduler oracle in
+// sampler_test.go pins this).
 //
 // Pooling is bit-for-bit invisible: every component Reset restores its
 // just-constructed state and every RNG stream is reseeded in place on
@@ -40,7 +49,9 @@ const maxBgStations = 4
 // A Sampler is not safe for concurrent use; the fleet runner gives each
 // worker its own.
 type Sampler struct {
-	sched    *eventsim.Scheduler
+	// scheds[i] is channel i's event kernel, in phy.PoWiFiChannels
+	// order.
+	scheds   [3]*eventsim.Scheduler
 	channels [3]*medium.Channel
 	rt       *router.Router
 	monitors [3]*monitor.Monitor
@@ -129,12 +140,21 @@ func resize(s []float64, n int) []float64 {
 // of neighbor contenders per channel. Contenders beyond a bin's active
 // count simply stay idle — an attached station that never transmits
 // draws no randomness and schedules no events, so the surplus is
-// invisible to the simulation.
+// invisible to the simulation. Each channel, with everything attached
+// to it, gets its own scheduler.
 func NewSampler() *Sampler {
-	smp := &Sampler{sched: eventsim.New()}
+	return newSampler([3]*eventsim.Scheduler{eventsim.New(), eventsim.New(), eventsim.New()})
+}
+
+// newSampler builds the sampling context with channel i driven by
+// scheds[i]. NewSampler passes three distinct kernels; the parity
+// oracle in sampler_test.go passes one kernel three times to rebuild
+// the historical shared-queue topology.
+func newSampler(scheds [3]*eventsim.Scheduler) *Sampler {
+	smp := &Sampler{scheds: scheds}
 	channels := make(map[phy.Channel]*medium.Channel, 3)
 	for i, chNum := range phy.PoWiFiChannels {
-		smp.channels[i] = medium.NewChannel(chNum, smp.sched)
+		smp.channels[i] = medium.NewChannel(chNum, scheds[i])
 		channels[chNum] = smp.channels[i]
 	}
 	rcfg := router.DefaultConfig()
@@ -143,12 +163,12 @@ func NewSampler() *Sampler {
 	// benchmark router's, which caps per-channel occupancy near the
 	// 30-45% the paper's Fig. 14 shows.
 	rcfg.UserWakeCost = 450 * time.Microsecond
-	smp.rt = router.New(rcfg, smp.sched, channels, 100, 0)
+	smp.rt = router.New(rcfg, channels, 100, 0)
 
 	for i, chNum := range phy.PoWiFiChannels {
 		smp.monitors[i] = monitor.New(smp.channels[i], time.Second, 100+i)
 		for k := 0; k < maxBgStations; k++ {
-			smp.bg[i][k] = traffic.NewBackground(smp.sched, smp.channels[i], 300+10*i+k,
+			smp.bg[i][k] = traffic.NewBackground(scheds[i], smp.channels[i], 300+10*i+k,
 				medium.Location{X: 8, Y: 6 + float64(k)}, 0, xrand.New(0))
 			smp.bgLabels[i][k] = fmt.Sprintf("bg/%v/%d", chNum, k)
 		}
@@ -191,10 +211,11 @@ func (smp *Sampler) TraceHome(ht *trace.HomeTrace) {
 	smp.sensor.Trace = ht
 }
 
-// armClient schedules the next Poisson client-frame arrival, exactly as
-// the original closure chain did: draw the gap, then fire-and-rearm.
+// armClient schedules the next Poisson client-frame arrival on channel
+// 1's kernel, exactly as the original closure chain did: draw the gap,
+// then fire-and-rearm.
 func (smp *Sampler) armClient() {
-	smp.sched.AfterCtx(time.Duration(smp.clientRng.Exp(smp.clientMean)), smp.clientFire, nil)
+	smp.scheds[0].AfterCtx(time.Duration(smp.clientRng.Exp(smp.clientMean)), smp.clientFire, nil)
 }
 
 // RunStream simulates one home deployment on the pooled context,
@@ -340,11 +361,15 @@ func (smp *Sampler) planBins(cfg HomeConfig, opts Options, nBins int) {
 // returning the router's per-channel occupancy fractions. The start-up
 // sequence (neighbor generators in channel/contender order, then the
 // client feed, then the router) reproduces the original fresh-build
-// scheduling order event for event.
+// scheduling order event for event on every channel. The window then
+// runs as one RunUntil per channel kernel, channel 1 first; since the
+// channels share no state, the order of those three runs cannot matter.
 //
 //powifi:noalloc
 func (smp *Sampler) sampleBin(seed uint64, clientLoad float64, neighborLoad [3]float64, window time.Duration) [3]float64 {
-	smp.sched.Reset()
+	for _, s := range smp.scheds {
+		s.Reset()
+	}
 	for i := range smp.channels {
 		smp.channels[i].Reset()
 		smp.monitors[i].Reset()
@@ -393,11 +418,26 @@ func (smp *Sampler) sampleBin(seed uint64, clientLoad float64, neighborLoad [3]f
 	}
 
 	smp.rt.Start()
-	smp.sched.RunUntil(window)
+	for _, s := range smp.scheds {
+		s.RunUntil(window)
+	}
 
 	var occ [3]float64
 	for i, mon := range smp.monitors {
 		occ[i] = mon.MeanOccupancy()
 	}
 	return occ
+}
+
+// scheduled returns the kernel events the last sampled bin scheduled,
+// summed over the three channel kernels: the count one shared queue
+// would have reported.
+//
+//powifi:noalloc
+func (smp *Sampler) scheduled() uint64 {
+	var n uint64
+	for _, s := range smp.scheds {
+		n += s.Scheduled()
+	}
+	return n
 }

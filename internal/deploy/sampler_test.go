@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/eventsim"
 	"repro/internal/xrand"
 )
 
@@ -52,6 +53,72 @@ func TestPooledSamplerParity(t *testing.T) {
 			if fresh[i] != reused[i] {
 				t.Fatalf("trial %d bin %d: pooled sample diverged\nfresh:  %+v\npooled: %+v",
 					trial, i, fresh[i], reused[i])
+			}
+		}
+	}
+}
+
+// newSharedSampler builds the historical shared-queue topology: one
+// scheduler drives all three channels, the router and the client feed,
+// so every event of a bin pops from a single (time, sequence) order.
+// It is the oracle for the per-channel kernels NewSampler builds.
+func newSharedSampler() (*Sampler, *eventsim.Scheduler) {
+	s := eventsim.New()
+	return newSampler([3]*eventsim.Scheduler{s, s, s}), s
+}
+
+// TestPerChannelKernelsMatchSharedOracle is the channel-independence
+// contract: running each channel on its own kernel must reproduce the
+// shared-queue sampler bit for bit — every BinSample field and every
+// bin's kernel event count. Any cross-channel coupling (a component on
+// one channel scheduling onto, or reading the clock of, another) breaks
+// it, because the per-channel kernels run each channel's whole window
+// before the next starts.
+func TestPerChannelKernelsMatchSharedOracle(t *testing.T) {
+	rng := xrand.NewFromLabel(11, "sampler/shared-oracle")
+	perChannel := NewSampler()
+	shared, sharedSched := newSharedSampler()
+	homes := make([]HomeConfig, 0, 15)
+	for trial := 0; trial < 15; trial++ {
+		cfg := randomHome(rng)
+		switch trial {
+		case 0:
+			cfg.Devices = 0 // no client feed
+		case 1:
+			cfg.NeighborAPs = 0 // no contenders on any channel
+		case 2:
+			cfg.NeighborAPs = 40 // every contender slot busy
+		}
+		homes = append(homes, cfg)
+	}
+	for _, window := range []time.Duration{2 * time.Millisecond, 10 * time.Millisecond} {
+		opts := Options{BinWidth: 30 * time.Minute, Window: window, Hours: 6, SensorDistanceFt: 9}
+		for trial, cfg := range homes {
+			var want, got []BinSample
+			var wantEvents, gotEvents []uint64
+			shared.RunStream(cfg, opts, func(s BinSample) {
+				want = append(want, s)
+				wantEvents = append(wantEvents, sharedSched.Scheduled())
+			})
+			perChannel.RunStream(cfg, opts, func(s BinSample) {
+				got = append(got, s)
+				gotEvents = append(gotEvents, perChannel.scheduled())
+			})
+			if len(got) != len(want) {
+				t.Fatalf("window %v trial %d: %d bins per-channel vs %d shared", window, trial, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("window %v trial %d bin %d: per-channel sample diverged\nshared:      %+v\nper-channel: %+v",
+						window, trial, i, want[i], got[i])
+				}
+				if gotEvents[i] != wantEvents[i] {
+					t.Fatalf("window %v trial %d bin %d: %d kernel events per-channel vs %d shared",
+						window, trial, i, gotEvents[i], wantEvents[i])
+				}
+				if wantEvents[i] == 0 {
+					t.Fatalf("window %v trial %d bin %d: no kernel events scheduled", window, trial, i)
+				}
 			}
 		}
 	}

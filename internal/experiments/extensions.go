@@ -79,7 +79,7 @@ func RunExtMultiRouter(perRun time.Duration, seed uint64) *MultiRouterResult {
 			cfg.Channels = []phy.Channel{phy.Channel6}
 			// Both routers sit within a metre of each other.
 			cfg.Location = medium.Location{Y: float64(i) * 0.5}
-			rt := router.New(cfg, sched, channels, 100+10*i, seed+uint64(i))
+			rt := router.New(cfg, channels, 100+10*i, seed+uint64(i))
 			rt.Radio(phy.Channel6).MAC.IgnoreCS = ignoreCS
 			rt.Start()
 		}
@@ -123,7 +123,7 @@ func RunExtPDoS(attackerLoad float64, perRun time.Duration, seed uint64) *PDoSRe
 		for _, chNum := range phy.PoWiFiChannels {
 			channels[chNum] = medium.NewChannel(chNum, sched)
 		}
-		rt := router.New(router.DefaultConfig(), sched, channels, 100, seed)
+		rt := router.New(router.DefaultConfig(), channels, 100, seed)
 		monitors := make(map[phy.Channel]*monitor.Monitor, 3)
 		for i, chNum := range phy.PoWiFiChannels {
 			monitors[chNum] = monitor.New(channels[chNum], 500*time.Millisecond, 100+i)
@@ -220,7 +220,7 @@ func RunExtMultiChannel(distanceFt float64, seed uint64) *MultiChannelAblation {
 	channels := map[phy.Channel]*medium.Channel{phy.Channel6: ch}
 	cfg := router.DefaultConfig()
 	cfg.Channels = []phy.Channel{phy.Channel6}
-	rt := router.New(cfg, sched, channels, 100, seed)
+	rt := router.New(cfg, channels, 100, seed)
 	mon := monitor.New(ch, 500*time.Millisecond, rt.Radio(phy.Channel6).MAC.StationID())
 	rt.Start()
 	sched.RunUntil(2 * time.Second)

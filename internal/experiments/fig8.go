@@ -49,7 +49,7 @@ func runNeighborPair(scheme router.Scheme, neighborRate phy.Rate, perRun time.Du
 	rcfg.Scheme = scheme
 	rcfg.Channels = []phy.Channel{phy.Channel1}
 	rcfg.EqualShareRate = neighborRate
-	rt := router.New(rcfg, sched, channels, 100, seed)
+	rt := router.New(rcfg, channels, 100, seed)
 
 	// The neighboring router-client pair, a few metres away.
 	nAP := mac.NewStation(400, "neighbor-ap", medium.Location{X: 4}, ch1,

@@ -8,6 +8,13 @@
 // to a channel and simply integrate incident power over time — they do not
 // decode anything, mirroring the real harvester's obliviousness to packet
 // contents (§3).
+//
+// Channel independence is load-bearing: a Channel touches no state of
+// another Channel, so channels may share one eventsim.Scheduler or each
+// run on its own. The fleet sampler (internal/deploy) gives each channel
+// its own kernel and runs them one after another; a component that
+// coupled two channels would silently change its results, and the
+// sampler's shared-scheduler oracle test exists to catch exactly that.
 package medium
 
 import (

@@ -145,7 +145,6 @@ type Radio struct {
 // Router is a PoWiFi router instance.
 type Router struct {
 	Cfg    Config
-	Sched  *eventsim.Scheduler
 	Radios map[phy.Channel]*Radio
 
 	// radios lists the radios in cfg.Channels order; Start, Stop and
@@ -156,9 +155,11 @@ type Router struct {
 
 // New builds a router attached to the given channel media. ids assigns a
 // distinct station ID per channel (channels have independent ID spaces, so
-// the same ID may be reused; the helper keeps them unique anyway).
-func New(cfg Config, sched *eventsim.Scheduler, channels map[phy.Channel]*medium.Channel, baseID int, seed uint64) *Router {
-	r := &Router{Cfg: cfg, Sched: sched, Radios: make(map[phy.Channel]*Radio)}
+// the same ID may be reused; the helper keeps them unique anyway). Each
+// radio and its injector schedule on their own channel's Sched, so the
+// channels may share one scheduler or each run their own.
+func New(cfg Config, channels map[phy.Channel]*medium.Channel, baseID int, seed uint64) *Router {
+	r := &Router{Cfg: cfg, Radios: make(map[phy.Channel]*Radio)}
 	for i, chNum := range cfg.Channels {
 		chMedium, exists := channels[chNum]
 		if !exists {
@@ -173,9 +174,9 @@ func New(cfg Config, sched *eventsim.Scheduler, channels map[phy.Channel]*medium
 		// The client-facing interface runs fair queueing between client
 		// and power flows, as mac80211's fq_codel does on real routers.
 		station.Qdisc = mac.NewFairQueue(100)
-		radio := &Radio{Channel: chNum, MAC: station, sched: sched, rngLabel: rngLabel, injLabel: injLabel}
+		radio := &Radio{Channel: chNum, MAC: station, sched: chMedium.Sched, rngLabel: rngLabel, injLabel: injLabel}
 		radio.Injector = &Injector{
-			Sched:     sched,
+			Sched:     chMedium.Sched,
 			MAC:       station,
 			Cfg:       cfg,
 			Rate:      r.powerRate(),

@@ -19,7 +19,7 @@ func newRig(scheme Scheme) (*eventsim.Scheduler, map[phy.Channel]*medium.Channel
 	}
 	cfg := DefaultConfig()
 	cfg.Scheme = scheme
-	return sched, channels, New(cfg, sched, channels, 100, 1)
+	return sched, channels, New(cfg, channels, 100, 1)
 }
 
 func TestRouterCreatesRadioPerChannel(t *testing.T) {
@@ -30,6 +30,29 @@ func TestRouterCreatesRadioPerChannel(t *testing.T) {
 	for _, chNum := range phy.PoWiFiChannels {
 		if rt.Radio(chNum) == nil {
 			t.Errorf("missing radio on %v", chNum)
+		}
+	}
+}
+
+// TestRadiosScheduleOnTheirChannel pins that each radio and its
+// injector schedule on their own channel's kernel: with one scheduler
+// per channel, running channel 1 advances channel 1's injector and
+// leaves the others untouched.
+func TestRadiosScheduleOnTheirChannel(t *testing.T) {
+	channels := make(map[phy.Channel]*medium.Channel, 3)
+	for _, chNum := range phy.PoWiFiChannels {
+		channels[chNum] = medium.NewChannel(chNum, eventsim.New())
+	}
+	rt := New(DefaultConfig(), channels, 100, 1)
+	rt.Start()
+	channels[phy.Channel1].Sched.RunUntil(200 * time.Millisecond)
+	for _, chNum := range phy.PoWiFiChannels {
+		in := rt.Radio(chNum).Injector
+		if ran := in.Attempted > 1; ran != (chNum == phy.Channel1) {
+			t.Errorf("%v: %d injector attempts after running channel 1 only", chNum, in.Attempted)
+		}
+		if n := channels[chNum].TxCount[medium.KindBeacon]; (n > 0) != (chNum == phy.Channel1) {
+			t.Errorf("%v: %d beacons after running channel 1 only", chNum, n)
 		}
 	}
 }
@@ -112,7 +135,7 @@ func TestEqualShareUsesConfiguredRate(t *testing.T) {
 	cfg.Scheme = EqualShare
 	cfg.Channels = []phy.Channel{phy.Channel1}
 	cfg.EqualShareRate = phy.Rate18Mbps
-	rt := New(cfg, sched, channels, 100, 1)
+	rt := New(cfg, channels, 100, 1)
 	if got := rt.Radio(phy.Channel1).Injector.Rate; got != phy.Rate18Mbps {
 		t.Errorf("EqualShare injector rate = %v, want 18 Mbps", got)
 	}

@@ -137,7 +137,7 @@ func NewBench(cfg BenchConfig) *Bench {
 	if cfg.EqualShareRate != 0 {
 		rcfg.EqualShareRate = cfg.EqualShareRate
 	}
-	rt := router.New(rcfg, sched, channels, routerBaseID, cfg.Seed)
+	rt := router.New(rcfg, channels, routerBaseID, cfg.Seed)
 
 	b := &Bench{
 		Sched:        sched,
