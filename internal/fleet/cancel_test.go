@@ -25,10 +25,10 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
-// warmSurface builds the lazily constructed operating-point surface
-// before a timed cancellation check: the one-time global grid build is
-// the only stretch of work a worker cannot interrupt, and it must not
-// count against the per-bin cancellation latency.
+// warmSurface builds the operating-point surface before a timed
+// cancellation check: the one-time global grid build of a run's warm-up
+// is the only stretch of work a cancel cannot interrupt, and it must
+// not count against the per-bin cancellation latency.
 func warmSurface(t *testing.T) {
 	t.Helper()
 	if _, err := Run(context.Background(), testConfig(1, 1)); err != nil {

@@ -261,22 +261,36 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		return ckw.write(res, next)
 	}
 
-	// Telemetry setup. When enabled, the operating-point surfaces the
-	// run will query are built up front under their own span — the build
-	// is deterministic and process-cached, so warming changes no output,
-	// but it keeps the one-time cost out of the simulate span.
 	runStart := time.Now() //powifi:walltime-ok telemetry manifest wall time, out of band of the simulation
 	var memStart runtime.MemStats
 	if t != nil {
 		runtime.ReadMemStats(&memStart)
-		if !cfg.Exact && surface.Enabled() {
-			endWarm := span(telemetry.SpanSurfaceWarmup)
-			surface.For(harvester.NewBatteryFree())
-			if cfg.Population.Lifecycle() {
-				surface.For(harvester.NewBatteryCharging())
-			}
-			endWarm()
+	}
+	// Warm-up: the operating-point surfaces the run will query are built
+	// concurrently, up front, under their own span. The builds are
+	// deterministic and process-cached, so warming changes no output; it
+	// keeps the one-time cost out of the first homes and the simulate
+	// span, and lets the builds share the cores.
+	if hvs := warmupHarvesters(cfg, start); len(hvs) > 0 {
+		endWarm := span(telemetry.SpanSurfaceWarmup)
+		var wg sync.WaitGroup
+		for _, hv := range hvs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				surface.For(hv)
+			}()
 		}
+		wg.Wait()
+		endWarm()
+	}
+	if err := outer.Err(); err != nil {
+		// Cancelled during warm-up: no worker has started, and the
+		// committed prefix is still the one the run began with.
+		if werr := saveOnAbort(start); werr != nil {
+			err = errors.Join(err, werr)
+		}
+		return nil, err
 	}
 	homesC := t.Counter(telemetry.CounterHomes)
 	failC := t.FailureCounters()
@@ -549,6 +563,25 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		ckw.remove() // a completed run needs no resume point
 	}
 	return res, nil
+}
+
+// warmupHarvesters returns the harvesters whose surfaces a run resuming
+// at home start will query: the battery-free chain for every home (the
+// deployment runner evaluates it per bin) and the battery-charging chain
+// when the device mix holds a bq25570 archetype. It returns none when
+// the run takes the exact solver or has no homes left to run.
+func warmupHarvesters(cfg Config, start int) []*harvester.Harvester {
+	if cfg.Exact || !surface.Enabled() || start >= cfg.Homes {
+		return nil
+	}
+	hvs := []*harvester.Harvester{harvester.NewBatteryFree()}
+	mix := cfg.Population.Devices
+	for _, k := range []lifecycle.Kind{lifecycle.RechargingTemp, lifecycle.Camera, lifecycle.LiIon, lifecycle.NiMH} {
+		if mix[k] > 0 {
+			return append(hvs, harvester.NewBatteryCharging())
+		}
+	}
+	return hvs
 }
 
 // runHome runs one home under the worker's supervisor: a panicking

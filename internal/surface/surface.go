@@ -49,6 +49,7 @@ package surface
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/harvester"
 	"repro/internal/phy"
@@ -287,8 +288,10 @@ func New(h *harvester.Harvester, opts Options) *Surface {
 		rp := h.Rect.InputResistance(a, v)
 		return []float64{v, i, math.Log(rp)}
 	}
-	s.op = buildGrid(opSpec)
-
+	// The battery-free surface's two grids are independent builds of
+	// pure functions, so they run concurrently; each is the same grid it
+	// would be alone.
+	var wg sync.WaitGroup
 	if h.Version == harvester.BatteryFree {
 		bootSpec := base
 		// The boot check reads only the startup voltage (and the input
@@ -304,8 +307,14 @@ func New(h *harvester.Harvester, opts Options) *Surface {
 			rp := h.Rect.InputResistance(a, v)
 			return []float64{v, i, math.Log(rp)}
 		}
-		s.boot = buildGrid(bootSpec)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.boot = buildGrid(bootSpec)
+		}()
 	}
+	s.op = buildGrid(opSpec)
+	wg.Wait()
 	return s
 }
 

@@ -80,52 +80,45 @@ func buildGrid(spec buildSpec) *grid {
 	nCurves := len(spec.curves)
 	g := &grid{}
 	cache := make(map[float64][]float64)
-	var mu sync.Mutex
 
-	evalCached := func(x float64) []float64 {
-		mu.Lock()
-		v, ok := cache[x]
-		mu.Unlock()
-		if ok {
-			return v
-		}
-		v = spec.eval(x)
-		mu.Lock()
-		cache[x] = v
-		g.evals++
-		mu.Unlock()
-		return v
-	}
-	// evalAll resolves a batch of abscissae in parallel; the resulting
-	// grid is identical at any parallelism because each node value is a
-	// pure function of its abscissa.
+	// evalAll puts every abscissa of a batch (distinct values, as every
+	// batch below is strictly increasing) into the cache. The misses are
+	// split over GOMAXPROCS goroutines by a fixed stride, each writing
+	// only its own result slots, and are then stored serially in batch
+	// order. Every node value is a pure function of its abscissa, so the
+	// grid is identical at any parallelism, and evals counts each miss
+	// once.
 	evalAll := func(batch []float64) {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(batch) {
-			workers = len(batch)
-		}
-		if workers <= 1 {
-			for _, x := range batch {
-				evalCached(x)
+		var miss []float64
+		for _, x := range batch {
+			if _, ok := cache[x]; !ok {
+				miss = append(miss, x)
 			}
+		}
+		if len(miss) == 0 {
 			return
 		}
+		vals := make([][]float64, len(miss))
+		workers := min(runtime.GOMAXPROCS(0), len(miss))
+		run := func(w int) {
+			for i := w; i < len(miss); i += workers {
+				vals[i] = spec.eval(miss[i])
+			}
+		}
 		var wg sync.WaitGroup
-		jobs := make(chan float64)
-		for w := 0; w < workers; w++ {
+		for w := 1; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for x := range jobs {
-					evalCached(x)
-				}
+				run(w)
 			}()
 		}
-		for _, x := range batch {
-			jobs <- x
-		}
-		close(jobs)
+		run(0)
 		wg.Wait()
+		for i, x := range miss {
+			cache[x] = vals[i]
+		}
+		g.evals += len(miss)
 	}
 
 	xs := make([]float64, spec.initNodes)
@@ -170,16 +163,7 @@ func buildGrid(spec buildSpec) *grid {
 		xs = append(xs, insert...)
 		sort.Float64s(xs)
 		xs = grade(xs, spec.minWidth)
-		var back []float64
-		for _, x := range xs {
-			mu.Lock()
-			_, ok := cache[x]
-			mu.Unlock()
-			if !ok {
-				back = append(back, x)
-			}
-		}
-		evalAll(back)
+		evalAll(xs)
 	}
 
 	g.xs = xs
@@ -189,12 +173,13 @@ func buildGrid(spec buildSpec) *grid {
 	// Certify: record the worst midpoint error the final spline leaves,
 	// and count intervals pinned at the width floor that still miss the
 	// tolerance (genuine kinks; callers band those off at query time).
-	for i := 0; i+1 < len(xs); i++ {
-		xm := 0.5 * (xs[i] + xs[i+1])
-		exact, ok := cache[xm]
-		if !ok {
-			exact = evalCached(xm)
-		}
+	mids := make([]float64, len(xs)-1)
+	for i := range mids {
+		mids[i] = 0.5 * (xs[i] + xs[i+1])
+	}
+	evalAll(mids)
+	for i, xm := range mids {
+		exact := cache[xm]
 		worst := 0.0
 		for c := 0; c < nCurves; c++ {
 			if skipInterval(spec.curves[c], cache[xs[i]], cache[xs[i+1]], exact) {
